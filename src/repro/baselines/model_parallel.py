@@ -122,6 +122,21 @@ class ModelParallel(BaselineRuntime):
             num_workers,
             cost=lambda p: gpu.layer_train_time(p, self.micro_batch),
         )
+        #: Micro-batch size -> per stage ``(forward s, backward s, bytes
+        #: sent downstream)``.  There are at most two sizes (the full one
+        #: and a remainder), so every pipeline step is a lookup instead of
+        #: a sum over the stage's layers.
+        self._stage_costs: dict[int, list[tuple[float, float, float]]] = {
+            batch: [
+                (
+                    gpu.forward_time(layers, batch),
+                    gpu.backward_time(layers, batch),
+                    batch * layers[-1].activation_bytes,
+                )
+                for layers in self.stages
+            ]
+            for batch in dict.fromkeys(self.micro_batches())
+        }
 
     def micro_batches(self) -> list[int]:
         """Sizes of the iteration's micro-batches (last may be smaller)."""
@@ -131,14 +146,10 @@ class ModelParallel(BaselineRuntime):
             sizes.append(remainder)
         return sizes
 
-    def _stage_io_bytes(self, stage: int, batch: int) -> float:
-        """Bytes a stage sends downstream (fwd) per micro-batch."""
-        boundary = self.stages[stage][-1]
-        return batch * boundary.activation_bytes
-
     def _iteration(self, iteration: int, delays: _t.Sequence[float]):
         env = self.cluster.env
-        gpu = self.cluster.spec.gpu
+        fabric = self.cluster.fabric
+        costs = self._stage_costs
         sizes = self.micro_batches()
         num = self.num_workers
         # Per-stage inbound queues; items are (micro_index, batch).
@@ -148,18 +159,15 @@ class ModelParallel(BaselineRuntime):
         def stage_proc(stage: int):
             if delays[stage] > 0:
                 yield env.timeout(delays[stage])
-            layers = self.stages[stage]
+            node = self.cluster[stage]
             # Forward phase: process micro-batches in arrival order.
             for micro, batch in enumerate(sizes):
                 if stage > 0:
                     yield fwd_in[stage].get()
-                yield from self.cluster[stage].compute(
-                    gpu.forward_time(layers, batch)
-                )
+                forward, _, sent = costs[batch][stage]
+                yield from node.compute(forward)
                 if stage < num - 1:
-                    yield self.cluster.fabric.transfer(
-                        stage, stage + 1, self._stage_io_bytes(stage, batch)
-                    )
+                    yield fabric.transfer(stage, stage + 1, sent)
                     yield fwd_in[stage + 1].put((micro, batch))
                 else:
                     # The last stage turns straight around into backward.
@@ -167,16 +175,12 @@ class ModelParallel(BaselineRuntime):
             # Backward phase: drain in re-arrival order (GPipe flush).
             for _ in sizes:
                 micro, batch = yield bwd_in[stage].get()
-                yield from self.cluster[stage].compute(
-                    gpu.backward_time(layers, batch)
-                )
+                yield from node.compute(costs[batch][stage][1])
                 if stage > 0:
                     # Gradient w.r.t. the stage input, same size as the
                     # upstream boundary activation.
-                    yield self.cluster.fabric.transfer(
-                        stage,
-                        stage - 1,
-                        self._stage_io_bytes(stage - 1, batch),
+                    yield fabric.transfer(
+                        stage, stage - 1, costs[batch][stage - 1][2]
                     )
                     yield bwd_in[stage - 1].put((micro, batch))
 

@@ -20,6 +20,14 @@ changes, the fabric *settles* the bytes transferred since the previous
 change at the previous rates, recomputes the fair-share allocation by
 water-filling, and schedules a wake-up at the earliest projected flow
 completion.
+
+The rates in the table always equal what a water-fill of the whole table
+would assign, so a change whose answer is known needs no solve.  A
+resource → flows index, kept current on every add and remove, shows
+when a new flow sits alone on both its NICs (it gets the full link, and
+no other rate moves) and when a completion left every NIC it used empty
+(no remaining rate moves).  Those reallocations only re-arm the wake-up;
+the rest re-solve the touched connected component, or the whole table.
 """
 
 from __future__ import annotations
@@ -70,6 +78,9 @@ class FabricStats:
     #: Waterfills over the whole flow table / over one dirty component.
     solves_full: int = 0
     solves_restricted: int = 0
+    #: Reallocations that needed no waterfill: every added flow alone on
+    #: both its NICs, or every NIC a completion touched left empty.
+    solves_skipped: int = 0
     #: Single-flow add/remove churn absorbed by the rate-reuse path
     #: without re-solving, and churn that was eligible (single flow,
     #: record present) but failed the proof obligation and fell back.
@@ -150,20 +161,15 @@ class Fabric:
         self.stats = FabricStats()
         self._flows: dict[int, Flow] = {}
         #: Resource → {fid: flow} index over active flows, maintained on
-        #: every add/remove.  It is what makes the incremental waterfill
-        #: possible: the connected component of a changed NIC can be
-        #: discovered without scanning the full flow table.  Resources
-        #: are keyed by small ints — ``src`` for a tx NIC, ``num_nodes +
-        #: dst`` for an rx NIC, ``-1`` for the switch — because these
-        #: keys are hashed on every hot-path dict operation and int
+        #: every add/remove.  It tells a reallocation whether it can skip
+        #: the solve (a touched NIC holding one flow or none), and it is
+        #: what makes the incremental waterfill possible: the connected
+        #: component of a changed NIC can be discovered without scanning
+        #: the full flow table.  Resources are keyed by small ints —
+        #: ``src`` for a tx NIC, ``num_nodes + dst`` for an rx NIC — because
+        #: these keys are hashed on every hot-path dict operation and int
         #: hashing is far cheaper than tuple hashing.
         self._by_resource: dict[int, dict[int, Flow]] = {}
-        #: The index is built lazily: workloads that never leave the
-        #: full-solve regime (small flow tables, or an aggregate switch)
-        #: never pay the per-add/per-remove maintenance.  The first
-        #: restricted solve rebuilds it from the flow table and clears
-        #: this flag; from then on add/remove keep it current.
-        self._index_stale: bool = True
         #: Flow-table size at or below which a reallocation skips the
         #: dirty-component discovery and runs the full progressive fill
         #: directly.  For small tables the full solve is cheaper than the
@@ -227,9 +233,8 @@ class Fabric:
             done=done,
         )
         self._flows[flow.fid] = flow
-        if not self._index_stale:
-            self._index_flow(flow)
-        self._reallocate((src, self.num_nodes + dst), added=flow)
+        self._index_flow(flow)
+        self._reallocate((src, self.num_nodes + dst), added=[flow])
         return done
 
     def transfer_many(
@@ -245,14 +250,10 @@ class Fabric:
         passes between the calls), so the resulting allocation — and the
         simulation — is identical; only the host-side work shrinks.
         Collectives and input fetches launch their per-peer flow sets
-        through this path.
+        through this path.  Every request is validated before any flow
+        starts, so a bad one raises with the flow table untouched.
         """
-        events: list[Event] = []
-        env = self.env
-        new_flows = False
-        started: Flow | None = None
-        count = 0
-        dirty: list[int] = []
+        requests = list(requests)
         for src, dst, size in requests:
             self._check_node(src)
             self._check_node(dst)
@@ -260,15 +261,19 @@ class Fabric:
                 raise SimulationError(
                     f"transfer size must be >= 0: {size}"
                 )
+        events: list[Event] = []
+        env = self.env
+        added: list[Flow] = []
+        dirty: list[int] = []
+        for src, dst, size in requests:
             done = env.event()
             events.append(done)
             if src == dst or size == 0:
                 done.succeed(0.0)
                 continue
-            if not new_flows:
+            if not added:
                 # Settle once, at the instant the whole batch lands.
                 self._settle()
-                new_flows = True
             self.stats.flows_started += 1
             flow = Flow(
                 fid=next(self._fid),
@@ -280,16 +285,12 @@ class Fabric:
                 done=done,
             )
             self._flows[flow.fid] = flow
-            if not self._index_stale:
-                self._index_flow(flow)
-            started = flow
-            count += 1
+            self._index_flow(flow)
+            added.append(flow)
             dirty.append(src)
             dirty.append(self.num_nodes + dst)
-        if new_flows:
-            # A batch of one is the same event sequence as transfer():
-            # let it ride the single-add reuse proof.
-            self._reallocate(dirty, added=started if count == 1 else None)
+        if added:
+            self._reallocate(dirty, added=added)
         return events
 
     @property
@@ -382,60 +383,88 @@ class Fabric:
 
     def _reallocate(
         self,
-        dirty: _t.Iterable[int] | None = None,
-        added: Flow | None = None,
-        removed: Flow | None = None,
+        dirty: _t.Sequence[int],
+        added: list[Flow] | None = None,
+        removed: list[Flow] | None = None,
     ) -> None:
         """Recompute max-min fair rates and reschedule the wake-up.
 
-        ``dirty`` names the NIC resources touched by the flow add/remove
-        that triggered the call.  When given (no aggregate switch couples
-        every flow to every other, and the flow table is large enough for
-        the discovery to pay for itself — see ``incremental_cutoff``),
-        only the connected component of flows reachable from those
-        resources is re-solved; flows in untouched components keep their
-        rates, which the full progressive fill would reproduce
-        bit-for-bit anyway because disjoint components never share a
-        capacity term.
+        ``dirty`` names the NIC resources touched by the flows this call
+        ``added`` (started) or ``removed`` (completed).  Three paths, in
+        order, each leaving every rate equal to a full progressive fill
+        of the table:
 
-        ``added``/``removed`` name the single flow when exactly one was
-        added or removed; with a valid cascade record the rate-reuse
-        proof (:meth:`_try_reuse_add` / :meth:`_try_reuse_remove`) may
-        then absorb the churn without any solve at all.  Whenever the
-        proof obligation fails, the normal solve path runs.
+        * **Skip.**  With no aggregate switch and no live cascade record,
+          no solve runs when every added flow sits alone on both its NICs
+          (it takes the whole link, ``link_bandwidth / 1``, exactly what
+          the full fill gives a one-flow component) or when every NIC a
+          completion touched is now empty (the removed flows formed whole
+          components of their own).  No other flow shares a capacity term
+          with the change, so no other rate moves.  A skip never builds
+          a cascade record.
+        * **Rate reuse.**  When exactly one flow was added or removed and
+          a cascade record is live, the proof in :meth:`_try_reuse_add` /
+          :meth:`_try_reuse_remove` may absorb the churn; when it fails,
+          the solve below runs.
+        * **Solve.**  Without an aggregate switch (which couples every
+          flow to every other) and above ``incremental_cutoff`` flows,
+          only the connected component reachable from ``dirty`` is
+          re-solved: disjoint components never share a capacity term, so
+          the full fill would reproduce the other rates bit-for-bit.
+          Otherwise the whole table is re-solved.
         """
-        if self._reuse is not None:
-            if added is not None and removed is None:
-                if self._try_reuse_add(added):
+        if self._reuse is None:
+            if self.switch_bandwidth is None and self._solve_is_trivial(
+                dirty, added
+            ):
+                if added is not None:
+                    bandwidth = self.link_bandwidth
+                    for flow in added:
+                        flow.rate = bandwidth
+                self.stats.solves_skipped += 1
+                self._schedule_wakeup()
+                return
+        elif added is not None:
+            if len(added) == 1:
+                if self._try_reuse_add(added[0]):
                     self.stats.reuse_hits += 1
                     self._schedule_wakeup()
                     return
                 self.stats.reuse_fallbacks += 1
-            elif removed is not None and added is None:
-                if self._try_reuse_remove(removed):
-                    self.stats.reuse_hits += 1
-                    self._schedule_wakeup()
-                    return
-                self.stats.reuse_fallbacks += 1
+        elif removed is not None and len(removed) == 1:
+            if self._try_reuse_remove(removed[0]):
+                self.stats.reuse_hits += 1
+                self._schedule_wakeup()
+                return
+            self.stats.reuse_fallbacks += 1
         if (
-            dirty is None
-            or self.switch_bandwidth is not None
+            self.switch_bandwidth is not None
             or len(self._flows) <= self.incremental_cutoff
         ):
             self._waterfill()
         else:
-            if self._index_stale:
-                self._rebuild_index()
             self._waterfill(self._dirty_component(dirty))
         self._schedule_wakeup()
 
-    def _rebuild_index(self) -> None:
-        """Build ``_by_resource`` from the flow table (first restricted
-        solve only; afterwards add/remove maintain it incrementally)."""
-        self._by_resource.clear()
-        for flow in self._flows.values():
-            self._index_flow(flow)
-        self._index_stale = False
+    def _solve_is_trivial(
+        self, dirty: _t.Sequence[int], added: list[Flow] | None
+    ) -> bool:
+        """Whether the change in ``dirty`` leaves nothing to solve.
+
+        After an add, every touched NIC must hold exactly one flow: each
+        added flow is alone on both its NICs.  After a completion, every
+        touched NIC must be empty.
+        """
+        by_resource = self._by_resource
+        if added is None:
+            for key in dirty:
+                if key in by_resource:
+                    return False
+            return True
+        for key in dirty:
+            if len(by_resource[key]) != 1:
+                return False
+        return True
 
     def _try_reuse_add(self, flow: Flow) -> bool:
         """Admit one new flow on top of the recorded cascade, if provable.
@@ -810,8 +839,7 @@ class Fabric:
         dirty: list[int] = []
         for flow in finished:
             del self._flows[flow.fid]
-            if not self._index_stale:
-                self._unindex_flow(flow)
+            self._unindex_flow(flow)
             dirty.append(flow.src)
             dirty.append(self.num_nodes + flow.dst)
             self.stats.flows_completed += 1
@@ -832,6 +860,4 @@ class Fabric:
             flow.done._ok = True
             flow.done._value = duration
             self.env.schedule(flow.done, delay=self.latency)
-        self._reallocate(
-            dirty, removed=finished[0] if len(finished) == 1 else None
-        )
+        self._reallocate(dirty, removed=finished)

@@ -542,8 +542,8 @@ def _fabric_transfer(_ctx: ScenarioContext) -> RunOnce:
 @register(
     "micro.fabric_sparse_flows",
     MICRO,
-    "many concurrent single-pair flows: disjoint components, the "
-    "incremental waterfill's restricted-solve path",
+    "many concurrent single-pair flows: disjoint one-flow components, "
+    "which the fabric reallocates without a solve",
 )
 def _fabric_sparse_flows(_ctx: ScenarioContext) -> RunOnce:
     from repro.net import Fabric
@@ -559,8 +559,8 @@ def _fabric_sparse_flows(_ctx: ScenarioContext) -> RunOnce:
                 size = 1.0e6 + 1.0e5 * ((src + index) % 5)
                 yield fabric.transfer(src, dst, size)
 
-        # Every pair is its own connected component: an add/remove
-        # re-solves one flow, never the other 31 pairs.  400 transfers
+        # Every pair is a lone flow on its NICs: an add/remove skips the
+        # solve and leaves the other 31 pairs untouched.  400 transfers
         # per pair lifts the repetition above the host noise floor.
         for pair in range(num_nodes // 2):
             env.process(sender(2 * pair, 2 * pair + 1, 400))

@@ -90,3 +90,58 @@ class TestExecution:
         a = ModelParallel(vgg19, 128, 8, iterations=2).run()
         b = ModelParallel(vgg19, 128, 8, iterations=2).run()
         assert a.total_time == b.total_time
+
+
+class TestRemainderMicroBatch:
+    """130 samples on 8 stages: 32 micro-batches of 4 plus one of 2.
+
+    The expected reprs were produced before the stage timings were
+    precomputed; a lookup must replay the per-step sums bit for bit.
+    """
+
+    PLAIN = (
+        "48.588942152727455",
+        ("16.1963140509091", "32.39262810181816", "48.588942152727455"),
+    )
+    STRAGGLED = (
+        "52.76138543272742",
+        ("18.196314050909095", "35.69348208048491", "52.76138543272742"),
+    )
+
+    def _run(self, vgg19, monkeypatch, straggler):
+        from repro.hardware import GpuSpec
+
+        calls = []
+        for name in ("forward_time", "backward_time"):
+            original = getattr(GpuSpec, name)
+
+            def spy(self, profiles, batch, _name=name, _original=original):
+                calls.append((_name, profiles[0].index, batch))
+                return _original(self, profiles, batch)
+
+            monkeypatch.setattr(GpuSpec, name, spy)
+        mp = ModelParallel(vgg19, 130, 8, iterations=3, straggler=straggler)
+        assert mp.micro_batches() == [4] * 32 + [2]
+        return mp, mp.run(), calls
+
+    @pytest.mark.parametrize("straggled", [False, True])
+    def test_one_gpu_call_per_stage_and_size(
+        self, vgg19, monkeypatch, straggled
+    ):
+        straggler = RoundRobinStraggler(2.0) if straggled else None
+        mp, result, calls = self._run(vgg19, monkeypatch, straggler)
+        expected = sorted(
+            (name, stage[0].index, batch)
+            for name in ("forward_time", "backward_time")
+            for stage in mp.stages
+            for batch in (4, 2)
+        )
+        assert sorted(calls) == expected
+        total, ends = self.STRAGGLED if straggled else self.PLAIN
+        assert repr(result.total_time) == total
+        starts = ("0.0",) + ends[:-1]
+        records = result.records
+        assert [r.iteration for r in records] == [0, 1, 2]
+        assert tuple(repr(r.start) for r in records) == starts
+        assert tuple(repr(r.end) for r in records) == ends
+        assert all(r.work_by_worker == (33,) * 8 for r in records)

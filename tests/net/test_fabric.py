@@ -62,6 +62,23 @@ class TestBasics:
         with pytest.raises(SimulationError):
             fabric.transfer(0, 1, -5)
 
+    @pytest.mark.parametrize(
+        "bad", [(1, 9, 5.0), (9, 1, 5.0), (1, 2, -5.0)]
+    )
+    def test_transfer_many_rejects_a_bad_batch_whole(self, bad):
+        """A bad request anywhere in the batch raises before any flow of
+        the batch starts: no flow left behind without a waker."""
+        env = Environment()
+        fabric = Fabric(env, num_nodes=4, link_bandwidth=100.0)
+        with pytest.raises(SimulationError):
+            fabric.transfer_many([(0, 1, 10.0), bad])
+        assert fabric.active_flows == []
+        assert fabric.stats.flows_started == 0
+        assert fabric._by_resource == {}
+        assert fabric._waker is None
+        env.run()
+        assert env.now == 0.0
+
 
 class TestSharing:
     def test_rx_contention_halves_rate(self):

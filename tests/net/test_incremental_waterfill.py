@@ -106,7 +106,8 @@ def test_seeded_dense_and_sparse_mix():
 
 def test_disjoint_pairs_take_restricted_solve():
     """Disjoint node pairs must actually exercise the incremental path
-    (a component strictly smaller than the flow table)."""
+    (a component strictly smaller than the flow table).  Each pair
+    carries two flows: a lone flow on idle NICs skips the solve."""
     env = Environment()
     fabric = Fabric(env, num_nodes=8, link_bandwidth=100.0, latency=0.0)
     fabric.incremental_cutoff = 0
@@ -126,6 +127,7 @@ def test_disjoint_pairs_take_restricted_solve():
     def main():
         # Four disjoint pairs started while earlier ones are in flight.
         for pair in range(4):
+            env.process(xfer(2 * pair, 2 * pair + 1))
             env.process(xfer(2 * pair, 2 * pair + 1))
             yield env.timeout(1.0)
 
@@ -166,8 +168,8 @@ def test_index_tracks_adds_and_removes():
     """The resource index must drain back to empty with the flow table."""
     env = Environment()
     fabric = Fabric(env, num_nodes=6, link_bandwidth=100.0, latency=0.0)
-    # Force restricted solves so the lazily-built index is actually
-    # constructed and then maintained through every add/remove.
+    # Force restricted solves so the index is read as well as
+    # maintained through every add/remove.
     fabric.incremental_cutoff = 0
 
     def xfer(src, dst, size):
