@@ -19,12 +19,13 @@ The two pathologies the paper attributes to MP are both structural here:
 from __future__ import annotations
 
 import typing as _t
+from collections import deque
 
 from repro.baselines.base import BaselineRuntime
 from repro.errors import ConfigurationError
 from repro.hardware import Cluster
 from repro.models import LayerProfile, ModelGraph
-from repro.sim import Store
+from repro.sim import Environment, Event
 from repro.stragglers import StragglerInjector
 
 #: The paper's MP baseline uses "small and fixed micro-batches" (citing
@@ -93,6 +94,34 @@ def balance_stages(
     return stages
 
 
+class _Mailbox:
+    """A stage's inbound FIFO of ``(micro, batch)`` items.
+
+    Each box has exactly one consumer.  It takes an available item
+    without yielding; on an empty box it parks ``waiter`` and yields it,
+    and the producer's :meth:`put` succeeds that event.  No event is
+    scheduled for a hand-off the consumer does not wait for.
+    """
+
+    __slots__ = ("items", "waiter")
+
+    def __init__(self) -> None:
+        self.items: deque[tuple[int, int]] = deque()
+        self.waiter: Event | None = None
+
+    def put(self, item: tuple[int, int]) -> None:
+        self.items.append(item)
+        waiter = self.waiter
+        if waiter is not None:
+            self.waiter = None
+            waiter.succeed()
+
+    def wait(self, env: Environment) -> Event:
+        """Park the consumer on an empty box; yield the returned event."""
+        self.waiter = Event(env)
+        return self.waiter
+
+
 class ModelParallel(BaselineRuntime):
     """BSP pipeline model parallelism with fixed micro-batches."""
 
@@ -152,29 +181,35 @@ class ModelParallel(BaselineRuntime):
         costs = self._stage_costs
         sizes = self.micro_batches()
         num = self.num_workers
-        # Per-stage inbound queues; items are (micro_index, batch).
-        fwd_in: list[Store] = [Store(env) for _ in range(num)]
-        bwd_in: list[Store] = [Store(env) for _ in range(num)]
+        # Per-stage inbound mailboxes of (micro_index, batch) items.
+        fwd_in = [_Mailbox() for _ in range(num)]
+        bwd_in = [_Mailbox() for _ in range(num)]
 
         def stage_proc(stage: int):
             if delays[stage] > 0:
                 yield env.timeout(delays[stage])
             node = self.cluster[stage]
+            inbox = fwd_in[stage]
             # Forward phase: process micro-batches in arrival order.
             for micro, batch in enumerate(sizes):
                 if stage > 0:
-                    yield fwd_in[stage].get()
+                    if not inbox.items:
+                        yield inbox.wait(env)
+                    inbox.items.popleft()
                 forward, _, sent = costs[batch][stage]
                 yield from node.compute(forward)
                 if stage < num - 1:
                     yield fabric.transfer(stage, stage + 1, sent)
-                    yield fwd_in[stage + 1].put((micro, batch))
+                    fwd_in[stage + 1].put((micro, batch))
                 else:
                     # The last stage turns straight around into backward.
-                    yield bwd_in[stage].put((micro, batch))
+                    bwd_in[stage].put((micro, batch))
             # Backward phase: drain in re-arrival order (GPipe flush).
+            inbox = bwd_in[stage]
             for _ in sizes:
-                micro, batch = yield bwd_in[stage].get()
+                if not inbox.items:
+                    yield inbox.wait(env)
+                micro, batch = inbox.items.popleft()
                 yield from node.compute(costs[batch][stage][1])
                 if stage > 0:
                     # Gradient w.r.t. the stage input, same size as the
@@ -182,7 +217,7 @@ class ModelParallel(BaselineRuntime):
                     yield fabric.transfer(
                         stage, stage - 1, costs[batch][stage - 1][2]
                     )
-                    yield bwd_in[stage - 1].put((micro, batch))
+                    bwd_in[stage - 1].put((micro, batch))
 
         procs = [env.process(stage_proc(s)) for s in range(num)]
         yield env.all_of(procs)

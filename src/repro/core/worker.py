@@ -139,9 +139,9 @@ class Worker:
             yield from self._elastic_iterations(runtime, first_iteration)
         except Interrupt as interrupt:
             if isinstance(interrupt.cause, WorkerCrash):
-                # Fatal: unwind the whole loop.  Resource context
-                # managers (the GPU) release on the way out; the TS
-                # learns of the death via lease expiry, not from here.
+                # Fatal: unwind the whole loop.  ``Node.compute``
+                # releases the GPU on the way out; the TS learns of
+                # the death via lease expiry, not from here.
                 self.crashed = True
                 return
             raise

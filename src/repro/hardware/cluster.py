@@ -13,7 +13,7 @@ import typing as _t
 from repro.errors import ConfigurationError
 from repro.hardware.gpu import GpuSpec
 from repro.net import Fabric
-from repro.sim import Environment, Event, Resource
+from repro.sim import Environment, Event
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +79,7 @@ class ClusterSpec:
 
 
 class Node:
-    """One machine: a GPU (exclusive-use resource) and fabric endpoints."""
+    """One machine: a GPU (one kernel at a time) and fabric endpoints."""
 
     def __init__(self, cluster: "Cluster", node_id: int) -> None:
         self.cluster = cluster
@@ -87,8 +87,12 @@ class Node:
         self.gpu_spec = cluster.spec.gpu
         #: Relative GPU speed; compute durations are divided by this.
         self.speed_factor = cluster.spec.speed_factor(node_id)
-        #: Kernels execute one at a time per GPU.
-        self._gpu = Resource(cluster.env, capacity=1)
+        #: Kernels execute one at a time per GPU: ``_gpu_busy`` is the
+        #: lock, ``_gpu_waiters`` the FIFO of events of computes waiting
+        #: their turn.  An uncontended compute (the common case) takes
+        #: the lock without scheduling any event.
+        self._gpu_busy: bool = False
+        self._gpu_waiters: list[Event] = []
         #: Cumulative seconds the GPU spent computing (for utilization).
         self.busy_time: float = 0.0
         #: Extra seconds added to the *next* computations on this node;
@@ -124,21 +128,48 @@ class Node:
     def compute(self, seconds: float):
         """Process generator: occupy the GPU for ``seconds`` (+ any injected
         straggler delay).  Yields until the computation finishes.
+
+        Computes on one node run one at a time in FIFO order.  A process
+        interrupted while queued leaves the queue; one interrupted
+        mid-kernel hands the GPU on and counts only the elapsed time.
         """
-        if seconds < 0:
+        if not seconds >= 0:  # also rejects NaN
             raise ConfigurationError(f"compute time must be >= 0: {seconds}")
-        with self._gpu.request() as req:
-            yield req
+        env = self.cluster.env
+        if self._gpu_busy:
+            turn = Event(env)
+            self._gpu_waiters.append(turn)
+            try:
+                yield turn
+            except BaseException:
+                if turn.triggered:
+                    # The GPU was handed over just before the interrupt.
+                    self._release_gpu()
+                else:
+                    self._gpu_waiters.remove(turn)
+                raise
+        else:
+            self._gpu_busy = True
+        try:
             total = seconds / self.speed_factor + self.take_pending_delay()
             self.busy_time += total
-            started = self.env.now
+            started = env.now
             try:
-                yield self.env.timeout(total)
+                yield env.timeout(total)
             except BaseException:
                 # Interrupted mid-kernel (worker crash): only the time
                 # actually spent counts toward GPU utilization.
-                self.busy_time -= total - (self.env.now - started)
+                self.busy_time -= total - (env.now - started)
                 raise
+        finally:
+            self._release_gpu()
+
+    def _release_gpu(self) -> None:
+        """Hand the GPU to the oldest waiter, or mark it free."""
+        if self._gpu_waiters:
+            self._gpu_waiters.pop(0).succeed()
+        else:
+            self._gpu_busy = False
 
     # -- network ------------------------------------------------------------------
 

@@ -215,7 +215,7 @@ class Fabric:
         """
         self._check_node(src)
         self._check_node(dst)
-        if size < 0:
+        if not size >= 0:  # also rejects NaN
             raise SimulationError(f"transfer size must be >= 0: {size}")
         done = self.env.event()
         if src == dst or size == 0:
@@ -257,7 +257,7 @@ class Fabric:
         for src, dst, size in requests:
             self._check_node(src)
             self._check_node(dst)
-            if size < 0:
+            if not size >= 0:  # also rejects NaN
                 raise SimulationError(
                     f"transfer size must be >= 0: {size}"
                 )

@@ -31,28 +31,16 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
-    "FilterStore",
     "Infinity",
     "Interrupt",
-    "PriorityResource",
     "Process",
-    "Resource",
-    "Store",
     "Timeout",
 ]

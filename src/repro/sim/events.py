@@ -167,8 +167,8 @@ class Timeout(Event):
     def __init__(
         self, env: "Environment", delay: float, value: _t.Any = None
     ) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which would stall the clock
+            raise SimulationError(f"timeout delay must be >= 0: {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value

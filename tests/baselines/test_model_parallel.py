@@ -4,7 +4,8 @@ import pytest
 
 from repro.baselines import ModelParallel, balance_stages, default_micro_batch
 from repro.errors import ConfigurationError
-from repro.stragglers import RoundRobinStraggler
+from repro.hardware import ClusterSpec
+from repro.stragglers import ProbabilityStraggler, RoundRobinStraggler
 
 
 class TestStageBalancing:
@@ -93,23 +94,101 @@ class TestExecution:
 
 
 class TestRemainderMicroBatch:
-    """130 samples on 8 stages: 32 micro-batches of 4 plus one of 2.
+    """130 samples on 8 stages: 32 micro-batches of 4 plus one of 2
+    (9 of 16 plus one of 2 with an explicit micro-batch).
 
     The expected reprs were produced before the stage timings were
-    precomputed; a lookup must replay the per-step sums bit for bit.
+    precomputed and before the pipeline handed micro-batches over
+    directly; the simulation must replay them bit for bit.
     """
 
-    PLAIN = (
-        "48.588942152727455",
-        ("16.1963140509091", "32.39262810181816", "48.588942152727455"),
-    )
-    STRAGGLED = (
-        "52.76138543272742",
-        ("18.196314050909095", "35.69348208048491", "52.76138543272742"),
-    )
+    #: case -> (ModelParallel kwargs, micro-batch sizes, expected
+    #: ``(total_time, iteration ends, network_bytes,
+    #: compute_seconds_by_worker)`` reprs).
+    CASES = {
+        "plain": (
+            {},
+            [4] * 32 + [2],
+            (
+                "48.588942152727455",
+                ("16.1963140509091", "32.39262810181816", "48.588942152727455"),
+                "9418506239.999626",
+                (
+                    "35.46180000000002", "35.837999999999944",
+                    "35.837999999999944", "35.83799999999995",
+                    "35.758800000000015", "11.998800000000056",
+                    "11.919599999999976", "11.919599999999976",
+                ),
+            ),
+        ),
+        "round_robin": (
+            {"straggler": RoundRobinStraggler(2.0)},
+            [4] * 32 + [2],
+            (
+                "52.76138543272742",
+                ("18.196314050909095", "35.69348208048491", "52.76138543272742"),
+                "9418506239.999603",
+                (
+                    "35.46180000000002", "35.837999999999944",
+                    "35.837999999999944", "35.83799999999995",
+                    "35.758800000000015", "11.998800000000056",
+                    "11.919599999999976", "11.919599999999976",
+                ),
+            ),
+        ),
+        "probability": (
+            {"straggler": ProbabilityStraggler(0.3, 2.0, seed=7)},
+            [4] * 32 + [2],
+            (
+                "52.76138543272752",
+                ("17.06790335224242", "35.26421740315152", "52.76138543272752"),
+                "9418506239.999582",
+                (
+                    "35.46180000000002", "35.837999999999944",
+                    "35.837999999999944", "35.83799999999995",
+                    "35.758800000000015", "11.998800000000056",
+                    "11.919599999999976", "11.919599999999976",
+                ),
+            ),
+        ),
+        "heterogeneous": (
+            {
+                "cluster_spec": ClusterSpec(
+                    gpu_speed_factors=(1.0, 0.5, 1.0, 1.25, 1.0, 0.8, 1.0, 1.0)
+                )
+            },
+            [4] * 32 + [2],
+            (
+                "82.67465639563692",
+                ("27.55821879854547", "55.116437597090936", "82.67465639563692"),
+                "9418506239.999289",
+                (
+                    "35.46180000000002", "71.67599999999989",
+                    "35.837999999999944", "28.67039999999999",
+                    "35.758800000000015", "14.998500000000016",
+                    "11.919599999999976", "11.919599999999976",
+                ),
+            ),
+        ),
+        "micro_batch_16": (
+            {"micro_batch": 16},
+            [16] * 8 + [2],
+            (
+                "23.21652472084951",
+                ("7.738841573616481", "15.477683147232963", "23.21652472084951"),
+                "9418506239.999937",
+                (
+                    "9.751298406911992", "9.774000000000001",
+                    "9.774000000000001", "9.774000000000003",
+                    "9.752399999999998", "3.2723999999999998",
+                    "3.2508000000000012", "3.2508000000000012",
+                ),
+            ),
+        ),
+    }
 
-    def _run(self, vgg19, monkeypatch, straggler):
-        from repro.hardware import GpuSpec
+    def _run(self, vgg19, monkeypatch, kwargs):
+        from repro.hardware import Cluster, GpuSpec
 
         calls = []
         for name in ("forward_time", "backward_time"):
@@ -120,28 +199,33 @@ class TestRemainderMicroBatch:
                 return _original(self, profiles, batch)
 
             monkeypatch.setattr(GpuSpec, name, spy)
-        mp = ModelParallel(vgg19, 130, 8, iterations=3, straggler=straggler)
-        assert mp.micro_batches() == [4] * 32 + [2]
+        kwargs = dict(kwargs)
+        spec = kwargs.pop("cluster_spec", None)
+        if spec is not None:
+            kwargs["cluster"] = Cluster(spec)
+        mp = ModelParallel(vgg19, 130, 8, iterations=3, **kwargs)
         return mp, mp.run(), calls
 
-    @pytest.mark.parametrize("straggled", [False, True])
-    def test_one_gpu_call_per_stage_and_size(
-        self, vgg19, monkeypatch, straggled
-    ):
-        straggler = RoundRobinStraggler(2.0) if straggled else None
-        mp, result, calls = self._run(vgg19, monkeypatch, straggler)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_gpu_call_per_stage_and_size(self, vgg19, monkeypatch, case):
+        kwargs, sizes, (total, ends, sent, busy) = self.CASES[case]
+        mp, result, calls = self._run(vgg19, monkeypatch, kwargs)
+        assert mp.micro_batches() == sizes
         expected = sorted(
             (name, stage[0].index, batch)
             for name in ("forward_time", "backward_time")
             for stage in mp.stages
-            for batch in (4, 2)
+            for batch in set(sizes)
         )
         assert sorted(calls) == expected
-        total, ends = self.STRAGGLED if straggled else self.PLAIN
         assert repr(result.total_time) == total
         starts = ("0.0",) + ends[:-1]
         records = result.records
         assert [r.iteration for r in records] == [0, 1, 2]
         assert tuple(repr(r.start) for r in records) == starts
         assert tuple(repr(r.end) for r in records) == ends
-        assert all(r.work_by_worker == (33,) * 8 for r in records)
+        assert all(r.work_by_worker == (len(sizes),) * 8 for r in records)
+        assert repr(result.stats["network_bytes"]) == sent
+        assert (
+            tuple(map(repr, result.stats["compute_seconds_by_worker"])) == busy
+        )

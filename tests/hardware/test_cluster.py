@@ -4,6 +4,22 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware import Cluster, ClusterSpec
+from repro.sim import Interrupt
+
+
+def logged_compute(cluster, events, name, seconds):
+    """Process: one compute on node 0, logging how and when it ended."""
+    try:
+        yield from cluster[0].compute(seconds)
+    except Interrupt:
+        events.append((name, "interrupted", cluster.env.now))
+        return
+    events.append((name, "done", cluster.env.now))
+
+
+def interrupt_at(env, process, at):
+    yield env.timeout(at)
+    process.interrupt()
 
 
 class TestClusterSpec:
@@ -43,6 +59,72 @@ class TestNode:
         env.process(job(cluster[1], 1))  # different GPU: parallel
         env.run()
         assert sorted(finish) == [1, 2, 5]
+
+    def test_queued_computes_finish_in_fifo_order(self, small_cluster_spec):
+        cluster = Cluster(small_cluster_spec)
+        events = []
+        for name, seconds in (("a", 3), ("b", 1), ("c", 2)):
+            cluster.env.process(logged_compute(cluster, events, name, seconds))
+        cluster.env.run()
+        assert events == [("a", "done", 3), ("b", "done", 4), ("c", "done", 6)]
+        assert cluster[0].busy_time == 6
+
+    def test_interrupted_waiter_leaves_queue(self, small_cluster_spec):
+        cluster = Cluster(small_cluster_spec)
+        env = cluster.env
+        events = []
+        env.process(logged_compute(cluster, events, "holder", 4))
+        dropped = env.process(logged_compute(cluster, events, "dropped", 10))
+        env.process(logged_compute(cluster, events, "next", 2))
+        env.process(interrupt_at(env, dropped, 1))
+        env.run()
+        assert events == [
+            ("dropped", "interrupted", 1),
+            ("holder", "done", 4),
+            ("next", "done", 6),
+        ]
+        assert cluster[0].busy_time == 6
+
+    def test_interrupt_as_turn_arrives_passes_gpu_on(
+        self, small_cluster_spec
+    ):
+        """Interrupted after the GPU was handed over but before resuming:
+        the turn goes to the next waiter instead of being lost."""
+        cluster = Cluster(small_cluster_spec)
+        env = cluster.env
+        events = []
+        env.process(logged_compute(cluster, events, "holder", 2))
+        handed = env.process(logged_compute(cluster, events, "handed", 10))
+        # The interrupt timer is queued after the holder's kernel timer,
+        # so at t=2 it fires after the hand-over but before the waiter
+        # resumes.
+        env.process(interrupt_at(env, handed, 2))
+        env.process(logged_compute(cluster, events, "next", 3))
+        env.run()
+        assert events == [
+            ("holder", "done", 2),
+            ("handed", "interrupted", 2),
+            ("next", "done", 5),
+        ]
+        assert cluster[0].busy_time == 5
+
+    def test_interrupt_mid_kernel_hands_gpu_on(self, small_cluster_spec):
+        cluster = Cluster(small_cluster_spec)
+        env = cluster.env
+        events = []
+        victim = env.process(logged_compute(cluster, events, "crashed", 5))
+        env.process(logged_compute(cluster, events, "waiter", 3))
+        env.process(interrupt_at(env, victim, 2))
+        env.run()
+        assert events == [("crashed", "interrupted", 2), ("waiter", "done", 5)]
+        # 2 s of the interrupted kernel plus the waiter's 3 s.
+        assert cluster[0].busy_time == 5
+
+    def test_nan_compute_rejected(self, small_cluster_spec):
+        cluster = Cluster(small_cluster_spec)
+        with pytest.raises(ConfigurationError, match="nan"):
+            next(cluster[0].compute(float("nan")))
+        assert cluster[0].busy_time == 0
 
     def test_busy_time_accounting(self, small_cluster_spec):
         cluster = Cluster(small_cluster_spec)

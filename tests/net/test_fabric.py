@@ -62,8 +62,15 @@ class TestBasics:
         with pytest.raises(SimulationError):
             fabric.transfer(0, 1, -5)
 
+    def test_nan_size_rejected(self):
+        env = Environment()
+        fabric = Fabric(env, num_nodes=2, link_bandwidth=100.0)
+        with pytest.raises(SimulationError, match="nan"):
+            fabric.transfer(0, 1, float("nan"))
+        assert fabric.stats.flows_started == 0
+
     @pytest.mark.parametrize(
-        "bad", [(1, 9, 5.0), (9, 1, 5.0), (1, 2, -5.0)]
+        "bad", [(1, 9, 5.0), (9, 1, 5.0), (1, 2, -5.0), (1, 2, float("nan"))]
     )
     def test_transfer_many_rejects_a_bad_batch_whole(self, bad):
         """A bad request anywhere in the batch raises before any flow of

@@ -83,6 +83,14 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             env.timeout(-1)
 
+    def test_nan_delay_rejected(self):
+        """A NaN delay would set the clock to NaN and let later pops run
+        time backwards."""
+        env = Environment()
+        with pytest.raises(SimulationError, match="nan"):
+            env.timeout(float("nan"))
+        assert env.peek() == float("inf")
+
     def test_carries_value(self):
         env = Environment()
         timeout = env.timeout(1, value="v")
