@@ -223,12 +223,6 @@ class FelaRuntime:
             "weights": self.config.weights,
             "subset_size": self.config.subset_size,
         }
-        env = self.cluster.env
-        stats["fast_forward"] = {
-            "intervals_skipped": env.ff_intervals,
-            "events_elided": env.ff_elided,
-            "sim_seconds_fast_forwarded": env.ff_seconds,
-        }
         if self.faults is not None:
             stats["faults"] = self.faults.summary()
         return stats

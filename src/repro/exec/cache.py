@@ -41,7 +41,7 @@ from repro.exec.codec import encode_value
 #: Salt baked into every key and entry envelope.  Bump on any change to
 #: the simulation semantics or the cached payload layout: old entries
 #: then mismatch and are evicted instead of silently resurfacing.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

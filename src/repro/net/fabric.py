@@ -81,37 +81,8 @@ class FabricStats:
     #: Reallocations that needed no waterfill: every added flow alone on
     #: both its NICs, or every NIC a completion touched left empty.
     solves_skipped: int = 0
-    #: Single-flow add/remove churn absorbed by the rate-reuse path
-    #: without re-solving, and churn that was eligible (single flow,
-    #: record present) but failed the proof obligation and fell back.
+    #: Always 0; kept because ``perfbench/layers.py`` reads it.
     reuse_hits: int = 0
-    reuse_fallbacks: int = 0
-
-
-class _ReuseState:
-    """The frozen cascade of the last full-table waterfill.
-
-    ``res``/``members`` hold, per resource key, the residual capacity
-    after every flow froze and the total number of member flows;
-    ``s_max`` is the largest frozen share.  ``stack`` records flows
-    admitted by the add-reuse proof afterwards, LIFO, each with the
-    exact pre-add values of everything the add mutated — popping the
-    stack on removal restores the record bit-for-bit, so no
-    floating-point drift can accumulate across add/remove cycles.
-    """
-
-    __slots__ = ("res", "members", "s_max", "stack")
-
-    def __init__(
-        self,
-        res: dict[int, float],
-        members: dict[int, int],
-        s_max: float,
-    ) -> None:
-        self.res = res
-        self.members = members
-        self.s_max = s_max
-        self.stack: list[tuple[_t.Any, ...]] = []
 
 
 class Fabric:
@@ -186,20 +157,13 @@ class Fabric:
         #: rounds-times-entries product outgrows its bookkeeping, so
         #: small solves keep the scan.  Host-side knob; tests sweep it.
         self.waterfill_heap_cutoff: int = 48
-        #: Flow-table size from which a full solve records its cascade
-        #: for the single-flow add/remove reuse path.  Below it the
-        #: record's upkeep costs more than the solve it might save.
-        self.reuse_cutoff: int = 128
-        #: Cascade record of the last full-table solve (``None`` when no
-        #: valid record exists; any non-reuse mutation invalidates it).
-        self._reuse: _ReuseState | None = None
         self._fid = itertools.count()
         self._last_settle = env.now
         #: Timeout armed for the next flow completion.  Cancellation is
-        #: a callback removal — the orphaned timeout stays on the heap as
-        #: a dead event for the run loop's fast-forward to elide — so a
-        #: reallocation storm costs one Timeout each, not a full
-        #: process interrupt/respawn cycle.
+        #: a callback removal — the orphaned timeout stays on the heap and
+        #: dispatches later with no callbacks — so a reallocation storm
+        #: costs one Timeout each, not a full process interrupt/respawn
+        #: cycle.
         self._waker: _t.Any = None
         self._wake_cb = self._on_wake  # one bound method for the lifetime
 
@@ -382,30 +346,22 @@ class Fabric:
                     del by_resource[key]
 
     def _reallocate(
-        self,
-        dirty: _t.Sequence[int],
-        added: list[Flow] | None = None,
-        removed: list[Flow] | None = None,
+        self, dirty: _t.Sequence[int], added: list[Flow] | None = None
     ) -> None:
         """Recompute max-min fair rates and reschedule the wake-up.
 
         ``dirty`` names the NIC resources touched by the flows this call
-        ``added`` (started) or ``removed`` (completed).  Three paths, in
-        order, each leaving every rate equal to a full progressive fill
+        ``added`` (started) or, when ``added`` is ``None``, retired.  Two
+        paths, each leaving every rate equal to a full progressive fill
         of the table:
 
-        * **Skip.**  With no aggregate switch and no live cascade record,
-          no solve runs when every added flow sits alone on both its NICs
-          (it takes the whole link, ``link_bandwidth / 1``, exactly what
-          the full fill gives a one-flow component) or when every NIC a
-          completion touched is now empty (the removed flows formed whole
-          components of their own).  No other flow shares a capacity term
-          with the change, so no other rate moves.  A skip never builds
-          a cascade record.
-        * **Rate reuse.**  When exactly one flow was added or removed and
-          a cascade record is live, the proof in :meth:`_try_reuse_add` /
-          :meth:`_try_reuse_remove` may absorb the churn; when it fails,
-          the solve below runs.
+        * **Skip.**  With no aggregate switch, no solve runs when every
+          added flow sits alone on both its NICs (it takes the whole
+          link, ``link_bandwidth / 1``, exactly what the full fill gives
+          a one-flow component) or when every NIC a completion touched
+          is now empty (the removed flows formed whole components of
+          their own).  No other flow shares a capacity term with the
+          change, so no other rate moves.
         * **Solve.**  Without an aggregate switch (which couples every
           flow to every other) and above ``incremental_cutoff`` flows,
           only the connected component reachable from ``dirty`` is
@@ -413,31 +369,15 @@ class Fabric:
           the full fill would reproduce the other rates bit-for-bit.
           Otherwise the whole table is re-solved.
         """
-        if self._reuse is None:
-            if self.switch_bandwidth is None and self._solve_is_trivial(
-                dirty, added
-            ):
-                if added is not None:
-                    bandwidth = self.link_bandwidth
-                    for flow in added:
-                        flow.rate = bandwidth
-                self.stats.solves_skipped += 1
-                self._schedule_wakeup()
-                return
-        elif added is not None:
-            if len(added) == 1:
-                if self._try_reuse_add(added[0]):
-                    self.stats.reuse_hits += 1
-                    self._schedule_wakeup()
-                    return
-                self.stats.reuse_fallbacks += 1
-        elif removed is not None and len(removed) == 1:
-            if self._try_reuse_remove(removed[0]):
-                self.stats.reuse_hits += 1
-                self._schedule_wakeup()
-                return
-            self.stats.reuse_fallbacks += 1
-        if (
+        if self.switch_bandwidth is None and self._solve_is_trivial(
+            dirty, added
+        ):
+            if added is not None:
+                bandwidth = self.link_bandwidth
+                for flow in added:
+                    flow.rate = bandwidth
+            self.stats.solves_skipped += 1
+        elif (
             self.switch_bandwidth is not None
             or len(self._flows) <= self.incremental_cutoff
         ):
@@ -464,86 +404,6 @@ class Fabric:
         for key in dirty:
             if len(by_resource[key]) != 1:
                 return False
-        return True
-
-    def _try_reuse_add(self, flow: Flow) -> bool:
-        """Admit one new flow on top of the recorded cascade, if provable.
-
-        Sufficient condition, checked per entry ``e`` of the flow: the
-        entry's recorded residual capacity split across its member count
-        plus the newcomer still beats the cascade's largest frozen share
-        — ``res_e / (members_e + 1) > s_max``.  Then at every round of a
-        from-scratch solve the entry's offer would exceed that round's
-        share (caps only shrink toward the residual, counts only grow
-        toward the total, float division is monotone), so the newcomer
-        never preempts the recorded freeze order and simply freezes
-        alone in one extra final round at ``min(res_tx, res_rx)`` — the
-        exact rate a full re-solve would assign it, with every other
-        rate untouched.  Resources absent from the record carry a full
-        idle link.  The strict ``>`` also rules out ties, which the
-        linear scan would otherwise break by entry seniority.
-        """
-        rec = self._reuse
-        assert rec is not None
-        bandwidth = self.link_bandwidth
-        res = rec.res
-        members = rec.members
-        s_max = rec.s_max
-        tx = flow.src
-        rx = self.num_nodes + flow.dst
-        res_tx = res.get(tx, bandwidth)
-        mem_tx = members.get(tx, 0)
-        if res_tx / (mem_tx + 1) <= s_max:
-            return False
-        res_rx = res.get(rx, bandwidth)
-        mem_rx = members.get(rx, 0)
-        if res_rx / (mem_rx + 1) <= s_max:
-            return False
-        share = res_tx if res_tx <= res_rx else res_rx
-        flow.rate = share
-        rec.stack.append(
-            (flow.fid, tx, rx, res_tx, mem_tx, res_rx, mem_rx, s_max)
-        )
-        cap = res_tx - share
-        res[tx] = cap if cap > 0.0 else 0.0
-        cap = res_rx - share
-        res[rx] = cap if cap > 0.0 else 0.0
-        members[tx] = mem_tx + 1
-        members[rx] = mem_rx + 1
-        rec.s_max = share  # provably > the old maximum
-        return True
-
-    def _try_reuse_remove(self, flow: Flow) -> bool:
-        """Retire a reuse-added flow by unwinding its stack frame.
-
-        Only the most recent reuse-added flow qualifies: its round is
-        the cascade's last, it froze alone, and the frame holds the
-        exact pre-add residuals/counts/``s_max`` — restoring them yields
-        the record a full solve of the remaining flows would rebuild,
-        bit for bit, with no other rate touched.  Anything else (a flow
-        that froze inside the cascade, out-of-order removals, batched
-        completions) falls back to a real solve.
-        """
-        rec = self._reuse
-        assert rec is not None
-        if not rec.stack or rec.stack[-1][0] != flow.fid:
-            return False
-        _, tx, rx, res_tx, mem_tx, res_rx, mem_rx, s_max = rec.stack.pop()
-        res = rec.res
-        members = rec.members
-        if mem_tx:
-            res[tx] = res_tx
-            members[tx] = mem_tx
-        else:
-            del res[tx]
-            del members[tx]
-        if mem_rx:
-            res[rx] = res_rx
-            members[rx] = mem_rx
-        else:
-            del res[rx]
-            del members[rx]
-        rec.s_max = s_max
         return True
 
     def _dirty_component(
@@ -612,10 +472,6 @@ class Fabric:
         slice of the full solve, because resources never span components,
         so the resulting rates are bit-identical.
         """
-        # Any solve invalidates the cascade record: a restricted solve
-        # leaves the record describing a table that no longer exists,
-        # and a full solve rebuilds it below when worthwhile.
-        self._reuse = None
         if component is None:
             self.stats.solves_full += 1
             flows: list[Flow] | _t.Any = list(self._flows.values())
@@ -748,36 +604,13 @@ class Fabric:
                         entry[0] = cap if cap > 0.0 else 0.0
                         entry[1] -= 1
 
-        if (
-            component is None
-            and not has_switch
-            and len(flows) >= self.reuse_cutoff
-        ):
-            # Record the cascade for the single-flow reuse proof: final
-            # residual capacity and total member count per resource,
-            # plus the largest frozen share (every rate IS its round's
-            # share, so the max rate is the max share).
-            s_max = 0.0
-            for flow in flows:
-                if flow.rate > s_max:
-                    s_max = flow.rate
-            self._reuse = _ReuseState(
-                res={key: entry[0] for key, entry in state.items()},
-                members={
-                    key: len(entry[2]) for key, entry in state.items()
-                },
-                s_max=s_max,
-            )
-
     def _schedule_wakeup(self) -> None:
         """(Re)arm the timer that fires at the next flow completion.
 
         The timer is a bare :class:`Timeout` with :meth:`_on_wake` as its
         only callback — no process, no generator.  Rearming cancels the
         previous timer by *removing the callback*: the old timeout stays
-        scheduled but dead, which costs nothing at dispatch and is
-        exactly the shape the run loop's analytical fast-forward elides
-        when it sits at the head of a steady interval.
+        scheduled but dead, and its later dispatch runs no code.
         """
         waker = self._waker
         if waker is not None:
@@ -860,4 +693,4 @@ class Fabric:
             flow.done._ok = True
             flow.done._value = duration
             self.env.schedule(flow.done, delay=self.latency)
-        self._reallocate(dirty, removed=finished)
+        self._reallocate(dirty)

@@ -60,7 +60,6 @@ class ScenarioMeasurement:
     sim_seconds_per_wall_second: float
     events_per_second: float
     peak_rss_kb: float
-    events_elided: int = 0
 
     def to_record(self) -> ScenarioRecord:
         return ScenarioRecord(
@@ -76,7 +75,6 @@ class ScenarioMeasurement:
             sim_seconds_per_wall_second=self.sim_seconds_per_wall_second,
             events_per_second=self.events_per_second,
             peak_rss_kb=self.peak_rss_kb,
-            events_elided=self.events_elided,
         )
 
 
@@ -137,7 +135,6 @@ def measure_scenario(
         ),
         events_per_second=stats.events / median if median > 0 else 0.0,
         peak_rss_kb=_peak_rss_kb(),
-        events_elided=stats.events_elided,
     )
 
 

@@ -45,10 +45,6 @@ class ScenarioStats:
     simulated_seconds: float
     #: Events scheduled on the simulation environment(s) of the run.
     events: int
-    #: Events the analytical fast-forward drained without dispatching
-    #: (a subset of ``events``; deterministic, so the repetition check
-    #: covers it too).
-    events_elided: int = 0
 
 
 @dataclasses.dataclass
@@ -228,7 +224,6 @@ def _fela_macro_builder(
             return ScenarioStats(
                 simulated_seconds=result.total_time,
                 events=cluster.env.scheduled_events,
-                events_elided=cluster.env.ff_elided,
             )
 
         return run_once
@@ -317,7 +312,6 @@ def _fela_1000workers(ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=result.total_time,
             events=cluster.env.scheduled_events,
-            events_elided=cluster.env.ff_elided,
         )
 
     return run_once
@@ -502,7 +496,6 @@ def _sim_event_churn(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -533,7 +526,6 @@ def _fabric_transfer(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -568,120 +560,6 @@ def _fabric_sparse_flows(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.fabric_megacomponent",
-    MICRO,
-    "one ~1000-flow connected component: batched mega waterfills on "
-    "the full-solve path plus single-flow add/remove churn exercising "
-    "the rate-reuse proof (hits and full-solve fallbacks)",
-)
-def _fabric_megacomponent(_ctx: ScenarioContext) -> RunOnce:
-    from repro.net import Fabric
-    from repro.sim import Environment
-
-    def run_once() -> ScenarioStats:
-        env = Environment()
-        num_nodes = 1024
-        bandwidth = 1.25e9
-        fabric = Fabric(env, num_nodes=num_nodes, link_bandwidth=bandwidth)
-
-        # Phase 1 — mega full solves.  A zigzag ring over all nodes:
-        # every even node sends to both odd neighbours, so every flow is
-        # transitively coupled through shared tx/rx NICs into ONE
-        # ~1000-flow component.  Whole waves land through transfer_many
-        # (one solve per wave) with equal sizes, so every flow finishes
-        # at the same instant (one batched removal per wave) — each wave
-        # costs exactly one full waterfill of the giant component.
-        ring = [
-            (even, (even + delta) % num_nodes, 2.0e6)
-            for even in range(0, num_nodes, 2)
-            for delta in (1, -1)
-        ]
-
-        def waves(count: int):
-            for _ in range(count):
-                yield env.all_of(fabric.transfer_many(ring))
-
-        env.process(waves(6))
-        env.run()
-
-        # Phase 2 — reuse churn against a standing mega component: 600
-        # senders into one anchor receiver freeze in a single cascade
-        # round, leaving every sender NIC nearly idle.  Short flows from
-        # a sender to an idle node then satisfy the add/remove reuse
-        # proof (residual capacity beats the cascade's last share), while
-        # a second flow into the saturated anchor violates it and must
-        # fall back to a full solve.
-        anchor = num_nodes - 1
-        spare = num_nodes - 2
-        # Sized so the star outlasts the whole churn sequence (~1.7 sim
-        # seconds): the reuse record only exists while the big standing
-        # component does.
-        star = [(sender, anchor, 5.0e6) for sender in range(600)]
-        standing = fabric.transfer_many(star)
-
-        def churn(count: int):
-            for index in range(count):
-                if index % 8 == 7:
-                    # Violator: the anchor rx has zero residual capacity,
-                    # so the reuse proof fails and the solver re-solves.
-                    yield fabric.transfer(600 + index % 16, anchor, 1.0e5)
-                else:
-                    yield fabric.transfer((index * 7) % 600, spare, 1.0e6)
-
-        env.process(churn(240))
-        env.run()
-        assert all(event.processed for event in standing)
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-            events_elided=env.ff_elided,
-        )
-
-    return run_once
-
-
-@register(
-    "micro.steady_fastforward",
-    MICRO,
-    "watchdog-style any_of waits leave dead long-stop timeouts in the "
-    "future heap; draining them is the analytical fast-forward's "
-    "steady-interval path",
-)
-def _steady_fastforward(_ctx: ScenarioContext) -> RunOnce:
-    from repro.sim import Environment
-
-    def run_once() -> ScenarioStats:
-        env = Environment()
-
-        def watchdog(short: float, count: int):
-            # The guard timeout (the watchdog) almost never fires: the
-            # short event wins every race, and the loser stays queued
-            # far in the future with nothing left to do when it
-            # surfaces.  Exactly the "provably steady interval" shape.
-            for _ in range(count):
-                yield env.any_of([env.timeout(short), env.timeout(1000.0)])
-
-        def ticker(period: float, count: int):
-            # Live wakeups beyond t=1000 interleave with the dead
-            # watchdog guards, splitting the drain into many intervals.
-            for _ in range(count):
-                yield env.timeout(period)
-
-        for lane in range(3):
-            env.process(watchdog(0.001 * (lane + 1), 12000))
-        env.process(ticker(4.0, 280))
-        env.run()
-        return ScenarioStats(
-            simulated_seconds=env.now,
-            events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -736,7 +614,6 @@ def _token_lifecycle(ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -765,7 +642,6 @@ def _ring_allreduce(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once
@@ -843,7 +719,6 @@ def _object_churn(_ctx: ScenarioContext) -> RunOnce:
         return ScenarioStats(
             simulated_seconds=env.now,
             events=env.scheduled_events,
-            events_elided=env.ff_elided,
         )
 
     return run_once

@@ -45,11 +45,6 @@ class ScenarioRecord:
     sim_seconds_per_wall_second: float
     events_per_second: float
     peak_rss_kb: float
-    #: Events the analytical fast-forward drained without dispatching
-    #: (0 for scenarios that never enter a steady interval).  Optional
-    #: in stored payloads so pre-existing stores keep loading; the
-    #: schema version is unchanged.
-    events_elided: int = 0
 
     def to_dict(self) -> dict[str, _t.Any]:
         payload = dataclasses.asdict(self)
@@ -76,7 +71,6 @@ class ScenarioRecord:
                 ),
                 events_per_second=float(payload["events_per_second"]),
                 peak_rss_kb=float(payload["peak_rss_kb"]),
-                events_elided=int(payload.get("events_elided", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise BenchmarkError(

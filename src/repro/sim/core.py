@@ -13,6 +13,7 @@ from __future__ import annotations
 import typing as _t
 from functools import partial as _partial
 from heapq import heappop, heappush
+from math import isnan
 
 from repro.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER, NullTracer
@@ -50,6 +51,8 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = float(initial_time)
+        if isnan(self._now):
+            raise SimulationError("initial_time must not be NaN")
         self._queue: CalendarQueue = CalendarQueue()
         #: Aliases to the calendar queue's three structures.  The queue
         #: never replaces them, so hot paths (Timeout, succeed, resume)
@@ -72,25 +75,11 @@ class Environment:
         #: Step monitors (e.g. the invariant checker's clock-monotonicity
         #: probe); called as ``monitor(now, event)`` after each pop.
         self._monitors: list[_t.Callable[[float, Event], None]] = []
-        #: Fast-forward gating (see :meth:`run` and :meth:`attach_monitor`).
-        #: A monitor attached without a ``next_due`` horizon turns
-        #: fast-forward off for the whole environment; monitors that do
-        #: declare one contribute a callable to ``_ff_gates`` and dead
-        #: events are only elided strictly before the earliest horizon.
-        self._ff_enabled: bool = True
-        self._ff_gates: list[_t.Callable[[], float]] = []
         #: The tracer observing this environment.  Components (fabric,
         #: token server, workers, collectives) emit through this one
         #: attribute; the default null tracer makes every emission a
         #: no-op, so an untraced simulation pays nothing.
         self.tracer: NullTracer = NULL_TRACER
-        #: Analytical fast-forward accounting (see :meth:`run`):
-        #: ``ff_intervals`` maximal drain runs, ``ff_elided`` dead events
-        #: skipped, ``ff_seconds`` simulated seconds crossed while
-        #: draining.  All deterministic for a seeded run.
-        self.ff_intervals: int = 0
-        self.ff_elided: int = 0
-        self.ff_seconds: float = 0.0
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now} queued={len(self._queue)}>"
@@ -117,30 +106,15 @@ class Environment:
         return self._eid
 
     def attach_monitor(
-        self,
-        monitor: _t.Callable[[float, Event], None],
-        next_due: _t.Callable[[], float] | None = None,
+        self, monitor: _t.Callable[[float, Event], None]
     ) -> None:
         """Register a step monitor called as ``monitor(now, event)``.
 
         Monitors observe every processed event (the invariant checker
         uses one to assert timestamp monotonicity).  They run before the
         event's callbacks and must not mutate simulation state.
-
-        ``next_due`` declares the monitor's *observation horizon*: a
-        zero-argument callable returning the earliest simulation time the
-        monitor still needs to observe.  The analytical fast-forward in
-        :meth:`run` only elides dead events strictly before every
-        attached horizon, so a sampler that only acts every ``interval``
-        seconds loses nothing.  Omitting ``next_due`` (the conservative
-        default) disables fast-forward for this environment entirely —
-        the monitor then observes every single pop, exactly as before.
         """
         self._monitors.append(monitor)
-        if next_due is None:
-            self._ff_enabled = False
-        else:
-            self._ff_gates.append(next_due)
 
     # -- event factories ----------------------------------------------------
 
@@ -227,7 +201,7 @@ class Environment:
                 stop_event.callbacks.append(StopSimulation.callback)
             else:
                 at = float(until)
-                if at <= self._now:
+                if not at > self._now:  # also rejects NaN
                     raise SimulationError(
                         f"until ({at}) must be greater than the current "
                         f"simulation time ({self._now})"
@@ -255,11 +229,6 @@ class Environment:
         pop_urgent = urgent.popleft
         pop_normal = normal.popleft
         monitors = self._monitors
-        # Analytical fast-forward state, read once per run() call (attach
-        # monitors before running).  ``ff_enabled`` is False as soon as
-        # any monitor without a horizon is attached.
-        ff_enabled = self._ff_enabled
-        ff_gates = self._ff_gates
         try:
             while True:
                 if urgent:
@@ -279,57 +248,7 @@ class Environment:
                     else:
                         entry = pop_normal()
                 elif future:
-                    # Analytical fast-forward.  With both FIFO lanes
-                    # empty, the heap head is the entire near future.  A
-                    # *dead* head — an event with no callbacks left and
-                    # nothing to re-raise (``ok`` or defused) — is pure
-                    # bookkeeping: dispatching it runs no user code and
-                    # only advances the clock.  Interrupted fabric-waker
-                    # timeouts and leftover ``any_of`` timers are the two
-                    # producers.  Drain every consecutive dead head in
-                    # one pass, advancing ``_now`` through each elided
-                    # timestamp so end times and every later timestamp
-                    # are bit-identical to the event-by-event schedule.
-                    # Monitors with a declared horizon cap the drain at
-                    # their earliest ``next_due()``; the interval is
-                    # steady (no lane entries, dead head), so horizons
-                    # cannot move while draining.
                     entry = heappop(future)
-                    if ff_enabled:
-                        event = entry[3]
-                        if not event.callbacks and (
-                            event._ok or event._defused
-                        ):
-                            limit = Infinity
-                            for gate in ff_gates:
-                                due = gate()
-                                if due < limit:
-                                    limit = due
-                            if entry[0] < limit:
-                                start = self._now
-                                self._now = entry[0]
-                                event.callbacks = None
-                                elided = 1
-                                while future:
-                                    head = future[0]
-                                    event = head[3]
-                                    if (
-                                        head[0] < limit
-                                        and not event.callbacks
-                                        and (event._ok or event._defused)
-                                    ):
-                                        heappop(future)
-                                        self._now = head[0]
-                                        event.callbacks = None
-                                        elided += 1
-                                    else:
-                                        break
-                                self.ff_intervals += 1
-                                self.ff_elided += elided
-                                self.ff_seconds += self._now - start
-                                if future:
-                                    continue
-                                break
                 else:
                     break
                 self._now, _, _, event = entry

@@ -358,10 +358,9 @@ class Condition(Event):
         else:
             return
         # The condition just fired (or failed): unsubscribe from the
-        # sub-events still in flight.  A leftover ``any_of`` timeout with
-        # this callback removed carries no work at all, which is what lets
-        # the run loop's analytical fast-forward elide it instead of
-        # dispatching an empty pop far in the future.
+        # sub-events still in flight, so a leftover ``any_of`` timeout
+        # dispatches later with no callback to run and the condition is
+        # not kept alive by the losing events.
         check = self._check
         for leftover in self._events:
             callbacks = leftover.callbacks

@@ -5,7 +5,7 @@ both its NICs, or when every NIC a completion touched is left empty.  The
 fabric below checks, after *every* reallocation of add, batch-add and
 multi-completion schedules, that each rate and the armed wake-up are
 ``repr``-identical to what a from-scratch full solve of the live table
-gives, and that a skip touches no solve or reuse counter.
+gives, and that a skip touches no solve counter.
 """
 
 import dataclasses
@@ -23,22 +23,14 @@ BANDWIDTH = 100.0
 class CheckedFabric(Fabric):
     """A fabric that audits every reallocation against a full solve."""
 
-    def _reallocate(self, dirty, added=None, removed=None):
-        record_live = self._reuse is not None
+    def _reallocate(self, dirty, added=None):
         before = dataclasses.replace(self.stats)
-        super()._reallocate(dirty, added=added, removed=removed)
+        super()._reallocate(dirty, added=added)
         after = self.stats
         if after.solves_skipped != before.solves_skipped:
             assert after.solves_skipped == before.solves_skipped + 1
-            assert not record_live
             assert self.switch_bandwidth is None
-            assert self._reuse is None
-            for field in (
-                "solves_full",
-                "solves_restricted",
-                "reuse_hits",
-                "reuse_fallbacks",
-            ):
+            for field in ("solves_full", "solves_restricted"):
                 assert getattr(after, field) == getattr(before, field)
         self._check_index()
         self._check_against_full_solve()
@@ -73,7 +65,7 @@ class CheckedFabric(Fabric):
             assert repr(self._waker.delay) == repr(reference._waker.delay)
 
 
-def _run(num_nodes, ops, switch=None, reuse_cutoff=None):
+def _run(num_nodes, ops, switch=None):
     """Play ``(start, requests)`` ops; returns the fabric's stats."""
     env = Environment()
     fabric = CheckedFabric(
@@ -83,8 +75,6 @@ def _run(num_nodes, ops, switch=None, reuse_cutoff=None):
         latency=1e-4,
         switch_bandwidth=switch,
     )
-    if reuse_cutoff is not None:
-        fabric.reuse_cutoff = reuse_cutoff
     finished: list[int] = []
 
     def op(index, start, requests):
@@ -127,14 +117,12 @@ def schedules(draw):
 
 
 @pytest.mark.parametrize("switch", [None, 350.0])
-@pytest.mark.parametrize("reuse_cutoff", [None, 1])
 @given(schedule=schedules())
 @settings(max_examples=40, deadline=None)
-def test_every_reallocation_matches_full_solve(schedule, switch, reuse_cutoff):
-    """``reuse_cutoff=1`` keeps a cascade record live after every full
-    solve; an aggregate switch couples every flow.  Neither may skip."""
+def test_every_reallocation_matches_full_solve(schedule, switch):
+    """An aggregate switch couples every flow, so it may never skip."""
     num_nodes, ops = schedule
-    stats = _run(num_nodes, ops, switch=switch, reuse_cutoff=reuse_cutoff)
+    stats = _run(num_nodes, ops, switch=switch)
     if switch is not None:
         assert stats.solves_skipped == 0
 
@@ -172,14 +160,3 @@ def test_switch_fabric_never_skips():
     assert stats.solves_skipped == 0
     assert stats.solves_full == 4
 
-
-def test_live_record_takes_the_reuse_path():
-    """With a cascade record live, an isolated add rides the reuse proof
-    (which keeps the record current) instead of skipping."""
-    ops = [
-        (0.0, [(0, 1, 400.0), (2, 1, 400.0)]),
-        (0.5, [(3, 4, 50.0)]),
-    ]
-    stats = _run(5, ops, reuse_cutoff=1)
-    assert stats.reuse_hits >= 2  # the isolated add and its completion
-    assert stats.solves_skipped == 0

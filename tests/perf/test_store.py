@@ -104,6 +104,8 @@ class TestStoreFormat:
 
     def test_committed_store_loads(self):
         # The repo-root baseline must always be readable by the tool.
+        # Its older records carry a field records have since dropped;
+        # loading ignores it rather than needing a schema bump.
         runs = load_store("BENCH_core.json")
         assert len(runs) >= 2
         names = {rec.name for rec in runs[-1].records}

@@ -24,8 +24,13 @@ class TestRun:
 
     def test_run_until_past_time_rejected(self):
         env = Environment(initial_time=10)
-        with pytest.raises(SimulationError):
-            env.run(until=5)
+        for until in (5, 10, float("nan")):
+            with pytest.raises(SimulationError):
+                env.run(until=until)
+        # A rejected horizon leaves the clock where it was.
+        assert env.now == 10
+        env.run(until=11)
+        assert env.now == 11
 
     def test_run_until_event_returns_value(self):
         env = Environment()
@@ -60,6 +65,10 @@ class TestRun:
         env.timeout(5)
         env.run()
         assert env.now == 105
+
+    def test_nan_initial_time_rejected(self):
+        with pytest.raises(SimulationError, match="NaN"):
+            Environment(initial_time=float("nan"))
 
 
 class TestStep:

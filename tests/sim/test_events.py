@@ -192,6 +192,17 @@ class TestConditions:
 
         assert env.run(env.process(proc(env))) == "nope"
 
+    def test_condition_unsubscribes_leftover_sub_events(self):
+        """Once an any_of fires, the losing timeout carries no callbacks."""
+        env = Environment()
+        short = env.timeout(1.0)
+        long = env.timeout(100.0)
+        env.any_of([short, long])
+        assert len(long.callbacks) == 1
+        env.run(until=2.0)
+        # The condition fired at t=1 and withdrew from the long timeout.
+        assert long.callbacks == []
+
     def test_cross_environment_events_rejected(self):
         env1, env2 = Environment(), Environment()
         with pytest.raises(SimulationError):
